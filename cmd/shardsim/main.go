@@ -38,6 +38,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -77,8 +78,8 @@ func main() {
 		benchWl     = flag.String("bench-workload", "FT transfer disjoint", "workload for -epoch-bench")
 		submitRate  = flag.Int("submit-rate", 0, "closed-loop mode: offer up to this many txs/epoch through the mempool (0 = open-loop bench)")
 		mempoolCap  = flag.Int("mempool-cap", 0, "mempool capacity for -submit-rate mode (0 = default)")
-		faultSpec   = flag.String("faults", "", `deterministic fault injection, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4")`)
-		traceOut    = flag.String("trace-out", "", "write a JSONL epoch-trace journal of every simulated network to this file")
+		faultSpec   = flag.String("faults", "", `deterministic fault injection, "seed:kind=prob[,...]" with kinds crash, drop, corrupt, straggle (e.g. "7:crash=0.05,straggle=0.2x4"); not supported with -node`)
+		traceOut    = flag.String("trace-out", "", "write a JSONL epoch-trace journal of every simulated network to this file (with -node: the role's network and its frames)")
 		metricsOut  = flag.String("metrics-out", "", "write the aggregated metrics registry as JSON to this file on exit")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		stateDir    = flag.String("state-dir", "", "persistent state directory: closed-loop runs (-submit-rate, one -workloads entry) journal every epoch and recover on restart; -epochs 0 recovers and prints the chain head without driving load; with -serve every stateful node persists under per-role subdirectories")
@@ -126,11 +127,15 @@ func main() {
 	// builds: one registry aggregates metrics across configurations,
 	// and one journal (if requested) receives the interleaved traces.
 	reg := obs.NewRegistry()
+	var rec obs.Recorder = obs.Nop{}
 	netOpts := []shard.Option{shard.WithRegistry(reg)}
 	if *noCompile {
 		netOpts = append(netOpts, shard.WithCompiledExecution(false))
 	}
 	if *faultSpec != "" {
+		if *nodeRole != "" {
+			fail(errors.New("-faults injects into the in-process epoch pipeline and is not supported with -node"))
+		}
 		plan, err := fault.ParseSpec(*faultSpec)
 		fail(err)
 		fmt.Fprintf(os.Stderr, "shardsim: injecting %s\n", plan)
@@ -145,6 +150,7 @@ func main() {
 			fail(f.Close())
 			fmt.Printf("wrote %s\n", *traceOut)
 		}()
+		rec = journal
 		netOpts = append(netOpts, shard.WithRecorder(journal))
 	}
 	if *metricsOut != "" {
@@ -177,7 +183,8 @@ func main() {
 
 	switch {
 	case *nodeRole != "":
-		runNodeRole(*nodeRole, *hubAddr, *rpcWorkld, *rpcShards, *blockIvl, *stateDir, *snapEvery, *serveAddr)
+		runNodeRole(*nodeRole, *hubAddr, *rpcWorkld, *rpcShards, *blockIvl, *stateDir, *snapEvery, *serveAddr,
+			netOpts, reg, rec)
 	case *serveAddr != "":
 		serveRPC(*serveAddr, *serveTCP, *rpcWorkld, *rpcShards, *lookups, *blockIvl, *stateDir, *snapEvery)
 	case *chainInfo != "":

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cosplit/internal/node"
+	"cosplit/internal/obs"
 	"cosplit/internal/rpc"
 	"cosplit/internal/shard"
 	"cosplit/internal/store"
@@ -37,7 +38,12 @@ import (
 // tail up over the wire (MsgBlockRequest) once live traffic reveals
 // the skew. SIGINT/SIGTERM shuts a role down cleanly; stateful roles
 // print their final chain head as "node: final epoch=E root=R".
-func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.Duration, stateDir string, snapEvery int, rpcAddr string) {
+//
+// netOpts configure every role's network (registry, recorder, engine);
+// reg and rec also receive the role's transport metrics and frame
+// events, so -metrics-out and -trace-out cover node mode.
+func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.Duration, stateDir string, snapEvery int, rpcAddr string,
+	netOpts []shard.Option, reg *obs.Registry, rec obs.Recorder) {
 	if hubAddr == "" {
 		fail(errors.New("-node needs -hub (the hub's listen/dial address)"))
 	}
@@ -56,7 +62,7 @@ func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.D
 	w, err := workload.ByName(workloadName)
 	fail(err)
 	genesis := func() (*shard.Network, error) {
-		env, err := workload.Provision(w, true, shard.WithShards(shards))
+		env, err := workload.Provision(w, true, append([]shard.Option{shard.WithShards(shards)}, netOpts...)...)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +90,7 @@ func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.D
 		for i := range shardNames {
 			shardNames[i] = fmt.Sprintf("shard-%d", i)
 		}
-		var opts []node.DSOption
+		opts := []node.DSOption{node.DSObs(reg, rec)}
 		if st != nil {
 			opts = append(opts, node.DSBlockSource(st))
 		}
@@ -121,7 +127,7 @@ func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.D
 		fail(err)
 		name := fmt.Sprintf("shard-%d", i)
 		st := openRoleStore(name, replica)
-		sn := node.NewShard(name, i, replica, dialHub(hubAddr, name), "ds")
+		sn := node.NewShard(name, i, replica, dialHub(hubAddr, name), "ds", node.ShardObs(reg, rec))
 		sn.Run()
 		fmt.Fprintf(os.Stderr, "shardsim: %s executing via %s\n", name, hubAddr)
 		<-sig
@@ -146,7 +152,7 @@ func runNodeRole(role, hubAddr, workloadName string, shards int, interval time.D
 				name = fmt.Sprintf("lookup-%d", i)
 			}
 		}
-		l := node.NewLookup(name, dialHub(hubAddr, name), "ds")
+		l := node.NewLookup(name, dialHub(hubAddr, name), "ds", node.LookupObs(reg, rec))
 		l.Run()
 		if rpcAddr != "" {
 			go func() { fail(http.ListenAndServe(rpcAddr, rpc.NewServer(l))) }()

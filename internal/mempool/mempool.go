@@ -246,14 +246,14 @@ func (p *Pool) Add(tx *chain.Tx) error {
 	ep := p.epoch.Load()
 	if p.cfg.MinGasPrice > 0 && tx.GasPrice < p.cfg.MinGasPrice {
 		p.m.rejectUnderpriced.Inc()
-		p.rec.TxPoolRejected(ep, tx.ID, reasonUnderpriced)
+		p.rec.Record(obs.Event{Kind: obs.TxPoolRejected, Epoch: ep, Tx: tx.ID, Label: reasonUnderpriced})
 		return fmt.Errorf("mempool: gas price %d below floor %d: %w",
 			tx.GasPrice, p.cfg.MinGasPrice, ErrUnderpriced)
 	}
 	committed, known := p.nonces.NonceOf(tx.From)
 	if !known {
 		p.m.rejectStale.Inc()
-		p.rec.TxPoolRejected(ep, tx.ID, reasonUnknownSender)
+		p.rec.Record(obs.Event{Kind: obs.TxPoolRejected, Epoch: ep, Tx: tx.ID, Label: reasonUnknownSender})
 		return fmt.Errorf("mempool: %w %s", dispatch.ErrUnknownSender, tx.From)
 	}
 
@@ -276,20 +276,20 @@ func (p *Pool) Add(tx *chain.Tx) error {
 			st.mu.Unlock()
 			p.m.admitted.Inc()
 			p.m.replaced.Inc()
-			p.rec.TxAdmitted(ep, tx.ID, parked, true)
+			p.rec.Record(obs.Event{Kind: obs.TxAdmitted, Epoch: ep, Tx: tx.ID, Flag: [2]bool{parked, true}})
 			return nil
 		}
 		oldPrice := old.tx.GasPrice
 		st.mu.Unlock()
 		p.m.rejectUnderpriced.Inc()
-		p.rec.TxPoolRejected(ep, tx.ID, reasonUnderpriced)
+		p.rec.Record(obs.Event{Kind: obs.TxPoolRejected, Epoch: ep, Tx: tx.ID, Label: reasonUnderpriced})
 		return fmt.Errorf("mempool: replacement for nonce %d needs gas price > %d, got %d: %w (%w)",
 			tx.Nonce, oldPrice, tx.GasPrice, ErrUnderpriced, dispatch.ErrNonceReplay)
 	}
 	if tx.Nonce <= committed {
 		st.mu.Unlock()
 		p.m.rejectStale.Inc()
-		p.rec.TxPoolRejected(ep, tx.ID, reasonStale)
+		p.rec.Record(obs.Event{Kind: obs.TxPoolRejected, Epoch: ep, Tx: tx.ID, Label: reasonStale})
 		return fmt.Errorf("mempool: nonce %d at or below committed %d: %w",
 			tx.Nonce, committed, dispatch.ErrStaleNonce)
 	}
@@ -298,21 +298,21 @@ func (p *Pool) Add(tx *chain.Tx) error {
 		// nonce was already drained this epoch and is in flight.
 		st.mu.Unlock()
 		p.m.rejectReplay.Inc()
-		p.rec.TxPoolRejected(ep, tx.ID, reasonReplay)
+		p.rec.Record(obs.Event{Kind: obs.TxPoolRejected, Epoch: ep, Tx: tx.ID, Label: reasonReplay})
 		return fmt.Errorf("mempool: nonce %d already handed to dispatch: %w",
 			tx.Nonce, dispatch.ErrNonceReplay)
 	}
 	if tx.Nonce > head+1+p.cfg.MaxNonceGap {
 		st.mu.Unlock()
 		p.m.rejectNonceGap.Inc()
-		p.rec.TxPoolRejected(ep, tx.ID, reasonNonceGap)
+		p.rec.Record(obs.Event{Kind: obs.TxPoolRejected, Epoch: ep, Tx: tx.ID, Label: reasonNonceGap})
 		return fmt.Errorf("mempool: nonce %d is %d past next expected %d, window %d: %w",
 			tx.Nonce, tx.Nonce-head-1, head+1, p.cfg.MaxNonceGap, ErrNonceGap)
 	}
 	if len(q.pending) >= p.cfg.PerSender {
 		st.mu.Unlock()
 		p.m.rejectFull.Inc()
-		p.rec.TxPoolRejected(ep, tx.ID, reasonPoolFull)
+		p.rec.Record(obs.Event{Kind: obs.TxPoolRejected, Epoch: ep, Tx: tx.ID, Label: reasonPoolFull})
 		return fmt.Errorf("mempool: sender %s at per-sender cap %d: %w",
 			tx.From, p.cfg.PerSender, ErrPoolFull)
 	}
@@ -325,13 +325,13 @@ func (p *Pool) Add(tx *chain.Tx) error {
 		victim, ok := p.evictCheapestTail(tx.GasPrice)
 		if !ok {
 			p.m.rejectFull.Inc()
-			p.rec.TxPoolRejected(ep, tx.ID, reasonPoolFull)
+			p.rec.Record(obs.Event{Kind: obs.TxPoolRejected, Epoch: ep, Tx: tx.ID, Label: reasonPoolFull})
 			return fmt.Errorf("mempool: at capacity %d and gas price %d does not outbid the pool floor: %w (%w)",
 				p.cfg.Capacity, tx.GasPrice, ErrPoolFull, ErrUnderpriced)
 		}
 		if victim != 0 {
 			p.m.evictCapacity.Inc()
-			p.rec.TxEvicted(ep, victim, reasonCapacity)
+			p.rec.Record(obs.Event{Kind: obs.TxEvicted, Epoch: ep, Tx: victim, Label: reasonCapacity})
 		}
 		st.mu.Lock()
 		// The queue may have moved while unlocked; a same-nonce racer
@@ -339,7 +339,7 @@ func (p *Pool) Add(tx *chain.Tx) error {
 		if old, ok := q.pending[tx.Nonce]; ok && old.tx.GasPrice >= tx.GasPrice {
 			st.mu.Unlock()
 			p.m.rejectUnderpriced.Inc()
-			p.rec.TxPoolRejected(ep, tx.ID, reasonUnderpriced)
+			p.rec.Record(obs.Event{Kind: obs.TxPoolRejected, Epoch: ep, Tx: tx.ID, Label: reasonUnderpriced})
 			return fmt.Errorf("mempool: replacement for nonce %d needs gas price > %d: %w (%w)",
 				tx.Nonce, old.tx.GasPrice, ErrUnderpriced, dispatch.ErrNonceReplay)
 		}
@@ -354,7 +354,7 @@ func (p *Pool) Add(tx *chain.Tx) error {
 	if parked {
 		p.m.parked.Inc()
 	}
-	p.rec.TxAdmitted(ep, tx.ID, parked, false)
+	p.rec.Record(obs.Event{Kind: obs.TxAdmitted, Epoch: ep, Tx: tx.ID, Flag: [2]bool{parked, false}})
 	return nil
 }
 
@@ -553,13 +553,13 @@ func (p *Pool) DrainEpoch(epoch uint64) []*chain.Tx {
 	sort.Slice(aged, func(i, j int) bool { return aged[i] < aged[j] })
 	for _, id := range aged {
 		p.m.evictAge.Inc()
-		p.rec.TxEvicted(epoch, id, reasonAge)
+		p.rec.Record(obs.Event{Kind: obs.TxEvicted, Epoch: epoch, Tx: id, Label: reasonAge})
 	}
 
 	took := time.Since(start)
 	p.m.depth.Set(int64(remaining))
 	p.m.batchSize.Observe(int64(len(batch)))
 	p.m.drainTime.ObserveDuration(took)
-	p.rec.MempoolDrained(epoch, len(batch), remaining, parked, took)
+	p.rec.Record(obs.Event{Kind: obs.MempoolDrained, Epoch: epoch, N: [4]int{len(batch), remaining, parked}, Took: took})
 	return batch
 }

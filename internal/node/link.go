@@ -148,7 +148,7 @@ func (l *link) Send(to string, frame []byte) error {
 	drop, corrupt, delay := l.draw()
 	if drop {
 		l.m.framesDropped.Inc()
-		l.rec.FrameDropped(l.inner.Name(), to, msg, len(frame))
+		l.rec.Record(obs.Event{Kind: obs.FrameDropped, From: l.inner.Name(), To: to, Label: msg, N: [4]int{len(frame)}})
 		return nil
 	}
 	if corrupt && len(frame) > wire.HeaderLen {
@@ -156,7 +156,7 @@ func (l *link) Send(to string, frame []byte) error {
 		cp[wire.HeaderLen+l.corruptByte(len(cp)-wire.HeaderLen)] ^= 0xff
 		frame = cp
 		l.m.framesCorrupted.Inc()
-		l.rec.FrameCorrupted(l.inner.Name(), to, msg, len(frame))
+		l.rec.Record(obs.Event{Kind: obs.FrameCorrupted, From: l.inner.Name(), To: to, Label: msg, N: [4]int{len(frame)}})
 	}
 	if delay {
 		time.Sleep(l.f.Delay)
@@ -167,7 +167,7 @@ func (l *link) Send(to string, frame []byte) error {
 	l.m.framesSent.Inc()
 	l.m.bytesSent.Add(int64(len(frame)))
 	l.m.frameBytes.Observe(int64(len(frame)))
-	l.rec.FrameSent(l.inner.Name(), to, msg, len(frame))
+	l.rec.Record(obs.Event{Kind: obs.FrameSent, From: l.inner.Name(), To: to, Label: msg, N: [4]int{len(frame)}})
 	return nil
 }
 

@@ -7,8 +7,6 @@ import "sync"
 // harness attaches one via shard.WithRecorder and reads stage timings
 // from it instead of threading fields through EpochStats.
 type StageCollector struct {
-	Nop // all events except EpochFinalized are ignored
-
 	mu     sync.Mutex
 	last   EpochSummary
 	total  EpochSummary
@@ -18,12 +16,15 @@ type StageCollector struct {
 // NewStageCollector creates an empty collector.
 func NewStageCollector() *StageCollector { return &StageCollector{} }
 
-// EpochFinalized implements Recorder.
-func (c *StageCollector) EpochFinalized(s EpochSummary) {
+// Record implements Recorder; it keeps only EpochFinalized events.
+func (c *StageCollector) Record(e Event) {
+	if e.Kind != EpochFinalized {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.last = s
-	c.total.add(s)
+	c.last = e.Summary
+	c.total.add(e.Summary)
 	c.epochs++
 }
 

@@ -2,241 +2,138 @@ package obs
 
 import "time"
 
-// EpochSummary is the per-epoch roll-up carried by the EpochFinalized
-// event: transaction counts plus the per-stage timings of the Fig. 10
-// pipeline. All durations are host-measured except Consensus and Wall,
-// which are modelled (see internal/consensus).
-type EpochSummary struct {
-	Epoch       uint64
-	Committed   int
-	Failed      int
-	Rejected    int
-	Deferred    int
-	DSCommitted int
-	// DeltaEntries is the total number of merged state components.
-	DeltaEntries int
+// Kind identifies a trace event. Its row in kinds gives the event's
+// JSONL name and the Event field behind each key, in line order.
+type Kind uint8
 
-	// Per-stage timings. ExecMax is the slowest shard (what the modelled
-	// pipeline charges, shards being distinct machines); ExecSum totals
-	// every shard (what a non-pipelined executor would pay).
-	Dispatch  time.Duration
-	ExecMax   time.Duration
-	ExecSum   time.Duration
-	Merge     time.Duration
-	DSExec    time.Duration
-	Consensus time.Duration
-	// Wall is the modelled epoch duration (Dispatch + ExecMax + Merge +
-	// DSExec + Consensus); Measured is the host wall-clock actually
-	// spent.
-	Wall     time.Duration
-	Measured time.Duration
+// The trace events. Shard is a shard index, -1 the DS committee or -2
+// a dispatcher rejection. Frame events carry node names instead of an
+// epoch: links outlive epochs and do not parse payloads.
+const (
+	TxDispatched         Kind = iota // Tx routed to Shard for reason Label
+	ShardExecStart                   // Shard starts executing its queue
+	ShardExecEnd                     // Shard finished executing after Took
+	MicroBlockSealed                 // Shard's per-epoch output
+	ShardGroupsFormed                // Shard's conflict-group partition, when the grouped path executes
+	GroupFoldDone                    // Shard's group results folded into one MicroBlock
+	DeltaMerged                      // the DS committee's three-way merge (conflicts abort it)
+	TxRequeued                       // transactions from Shard deferred back into the mempool
+	ShardFault                       // fault directive Label took effect on Shard
+	ViewChange                       // a PBFT view change charged to Shard's committee
+	ShardEscalated                   // transactions routed to a faulting Shard ran on the DS committee
+	OverflowGuardTripped             // Tx rejected on Shard by the Sec. 6 overflow guard
+	TxAdmitted                       // Tx accepted into the mempool, perhaps parked or replacing by fee
+	TxPoolRejected                   // Tx refused at mempool admission for reason Label
+	TxEvicted                        // admitted Tx dropped from the mempool for reason Label
+	MempoolDrained                   // one epoch's pull from the mempool
+	TransitionCompiled               // deploy-time compilation of transition Name of contract Label
+	FrameSent                        // a frame of message type Label left From for To
+	FrameDropped                     // a frame discarded in flight
+	FrameCorrupted                   // a frame whose payload bytes were flipped in flight
+	EpochFinalized                   // the last event of an epoch, carrying Summary
+
+	numKinds
+)
+
+// kinds is every event's JSONL name and its keys in line order, after
+// the "seq", "t_ns" and "event" keys every line starts with.
+var kinds = [numKinds]struct {
+	name string
+	cols []column
+}{
+	TxDispatched:   {"tx_dispatched", []column{colEpoch, colTx, colShard, label("reason")}},
+	ShardExecStart: {"shard_exec_start", []column{colEpoch, colShard, count("queued", 0)}},
+	ShardExecEnd:   {"shard_exec_end", []column{colEpoch, colShard, colTook}},
+	MicroBlockSealed: {"micro_block_sealed", []column{colEpoch, colShard,
+		count("receipts", 0), count("deltas", 1), count("deferred", 2), count("gas_used", 3)}},
+	ShardGroupsFormed: {"shard_groups_formed", []column{colEpoch, colShard,
+		count("groups", 0), count("largest", 1), count("residue", 2)}},
+	GroupFoldDone: {"group_fold", []column{colEpoch, colShard, count("contracts", 0), colTook}},
+	DeltaMerged: {"delta_merged", []column{colEpoch,
+		count("contracts", 0), count("deltas", 1), count("entries", 2), count("conflicts", 3), colTook}},
+	TxRequeued:           {"tx_requeued", []column{colEpoch, colShard, count("count", 0)}},
+	ShardFault:           {"shard_fault", []column{colEpoch, colShard, label("kind"), count("lost", 0)}},
+	ViewChange:           {"view_change", []column{colEpoch, colShard, colTook}},
+	ShardEscalated:       {"shard_escalated", []column{colEpoch, colShard, count("txs", 0)}},
+	OverflowGuardTripped: {"overflow_guard_tripped", []column{colEpoch, colShard, colTx}},
+	TxAdmitted:           {"tx_admitted", []column{colEpoch, colTx, flag("parked", 0), flag("replaced", 1)}},
+	TxPoolRejected:       {"tx_pool_rejected", []column{colEpoch, colTx, label("reason")}},
+	TxEvicted:            {"tx_evicted", []column{colEpoch, colTx, label("reason")}},
+	MempoolDrained: {"mempool_drained", []column{colEpoch,
+		count("batch", 0), count("remaining", 1), count("parked", 2), colTook}},
+	TransitionCompiled: {"transition_compiled", []column{colEpoch, label("contract"),
+		text("transition", func(e *Event) string { return e.Name }), flag("compiled", 0), flag("fast_path", 1)}},
+	FrameSent:      {"frame_sent", frameCols},
+	FrameDropped:   {"frame_dropped", frameCols},
+	FrameCorrupted: {"frame_corrupted", frameCols},
+	EpochFinalized: {"epoch_finalized", []column{colEpoch,
+		num("committed", func(e *Event) int64 { return int64(e.Summary.Committed) }),
+		num("failed", func(e *Event) int64 { return int64(e.Summary.Failed) }),
+		num("rejected", func(e *Event) int64 { return int64(e.Summary.Rejected) }),
+		num("deferred", func(e *Event) int64 { return int64(e.Summary.Deferred) }),
+		num("ds_committed", func(e *Event) int64 { return int64(e.Summary.DSCommitted) }),
+		num("delta_entries", func(e *Event) int64 { return int64(e.Summary.DeltaEntries) }),
+		num("dispatch_ns", func(e *Event) int64 { return int64(e.Summary.Dispatch) }),
+		num("exec_max_ns", func(e *Event) int64 { return int64(e.Summary.ExecMax) }),
+		num("exec_sum_ns", func(e *Event) int64 { return int64(e.Summary.ExecSum) }),
+		num("merge_ns", func(e *Event) int64 { return int64(e.Summary.Merge) }),
+		num("ds_ns", func(e *Event) int64 { return int64(e.Summary.DSExec) }),
+		num("consensus_ns", func(e *Event) int64 { return int64(e.Summary.Consensus) }),
+		num("wall_ns", func(e *Event) int64 { return int64(e.Summary.Wall) }),
+		num("measured_ns", func(e *Event) int64 { return int64(e.Summary.Measured) }),
+	}},
 }
 
-// SequentialWall is the modelled duration of the same epoch on a
-// non-pipelined executor: shard queues charged back-to-back instead of
-// in parallel.
-func (s EpochSummary) SequentialWall() time.Duration {
-	return s.Dispatch + s.ExecSum + s.Merge + s.DSExec + s.Consensus
+var frameCols = []column{
+	text("from", func(e *Event) string { return e.From }),
+	text("to", func(e *Event) string { return e.To }),
+	label("msg"), count("bytes", 0),
 }
 
-// add accumulates another epoch into s (durations and counts sum;
-// Epoch tracks the latest).
-func (s *EpochSummary) add(o EpochSummary) {
-	s.Epoch = o.Epoch
-	s.Committed += o.Committed
-	s.Failed += o.Failed
-	s.Rejected += o.Rejected
-	s.Deferred += o.Deferred
-	s.DSCommitted += o.DSCommitted
-	s.DeltaEntries += o.DeltaEntries
-	s.Dispatch += o.Dispatch
-	s.ExecMax += o.ExecMax
-	s.ExecSum += o.ExecSum
-	s.Merge += o.Merge
-	s.DSExec += o.DSExec
-	s.Consensus += o.Consensus
-	s.Wall += o.Wall
-	s.Measured += o.Measured
+// Event is one trace record: a flat value whose Kind's row in kinds
+// says which fields are filled; the rest stay zero.
+type Event struct {
+	Kind        Kind
+	Epoch, Tx   uint64
+	Shard       int
+	From, To    string // frame endpoints
+	Label, Name string // reason, fault directive, message type or contract; transition
+	N           [4]int // counts, indexed as in the kind's row
+	Flag        [2]bool
+	Took        time.Duration
+	Summary     EpochSummary // EpochFinalized only; Epoch equals Summary.Epoch
 }
 
-// Recorder receives the typed trace events the pipeline emits. Event
-// methods take only scalar arguments (and the by-value EpochSummary),
-// so a call into the no-op implementation allocates nothing.
+// Recorder receives the trace events the pipeline emits. Event is
+// passed by value, so recording into Nop allocates nothing.
 //
 // Implementations must be safe for concurrent use: shard-scoped events
-// (ShardExecStart/End, MicroBlockSealed, OverflowGuardTripped) are
-// emitted from worker goroutines when the parallel pipeline is enabled.
-// Event order across different shards is deterministic only in the
-// sequential pipeline.
+// are emitted from worker goroutines when the parallel pipeline is
+// enabled. Event order across different shards is deterministic only
+// in the sequential pipeline.
 type Recorder interface {
-	// TxDispatched reports the routing verdict for one transaction:
-	// shard >= 0 is an in-shard placement, -1 the DS committee, -2 a
-	// rejection. Reason is the dispatcher's precompiled reason string.
-	TxDispatched(epoch, tx uint64, shard int, reason string)
-	// ShardExecStart marks a shard starting its queue of queued
-	// transactions.
-	ShardExecStart(epoch uint64, shard, queued int)
-	// ShardExecEnd marks a shard finishing execution after took.
-	ShardExecEnd(epoch uint64, shard int, took time.Duration)
-	// MicroBlockSealed reports a shard's per-epoch output: receipts
-	// produced, state deltas extracted, transactions deferred past the
-	// gas limit, and gas committed.
-	MicroBlockSealed(epoch uint64, shard, receipts, deltas, deferred int, gasUsed uint64)
-	// ShardGroupsFormed reports an intra-shard conflict-group partition:
-	// groups formed over the batch, the largest group's size, and the
-	// sequential residue (transactions sharing a group with at least one
-	// other). Emitted only when the grouped path proceeds to execution.
-	ShardGroupsFormed(epoch uint64, shard, groups, largest, residue int)
-	// GroupFoldDone reports the deterministic fold of the group results
-	// back into one MicroBlock: contracts whose per-group deltas were
-	// join-merged, and the fold duration.
-	GroupFoldDone(epoch uint64, shard, contracts int, took time.Duration)
-	// DeltaMerged reports the DS committee's three-way merge: contracts
-	// touched, deltas folded, total merged components, join conflicts
-	// (non-zero only when the merge aborts), and its duration.
-	DeltaMerged(epoch uint64, contracts, deltas, entries, conflicts int, took time.Duration)
-	// TxRequeued reports count transactions deferred back into the
-	// mempool (shard -1 = the DS committee's deferrals).
-	TxRequeued(epoch uint64, shard, count int)
-	// ShardFault reports an injected fault taking effect on a shard:
-	// kind is the directive label ("crash", "drop", "corrupt",
-	// "straggle") and lost the number of batch transactions requeued by
-	// the recovery path (0 for straggle — the MicroBlock still seals).
-	ShardFault(epoch uint64, shard int, kind string, lost int)
-	// ViewChange reports a PBFT view change charged to a shard's
-	// committee after its MicroBlock went missing or failed validation.
-	ViewChange(epoch uint64, shard int, took time.Duration)
-	// ShardEscalated reports the dispatcher's unavailability backoff
-	// escalating a repeatedly faulting shard: txs transactions the
-	// routing placed on the shard were executed by the DS committee
-	// instead this epoch.
-	ShardEscalated(epoch uint64, shard, txs int)
-	// OverflowGuardTripped reports a transaction rejected by the Sec. 6
-	// conservative integer-overflow guard.
-	OverflowGuardTripped(epoch uint64, shard int, tx uint64)
-	// TxAdmitted reports a transaction accepted into the mempool.
-	// parked marks an out-of-order nonce held in the sender's future
-	// queue until its gap fills; replaced marks a replacement-by-fee of
-	// a pending transaction with the same (sender, nonce).
-	TxAdmitted(epoch, tx uint64, parked, replaced bool)
-	// TxPoolRejected reports a transaction refused at mempool admission.
-	// Reason is a precompiled constant (pool full, underpriced, nonce
-	// gap, stale nonce, replayed nonce, unknown sender).
-	TxPoolRejected(epoch, tx uint64, reason string)
-	// TxEvicted reports a previously admitted transaction dropped from
-	// the mempool (reason "capacity" or "age").
-	TxEvicted(epoch, tx uint64, reason string)
-	// MempoolDrained reports one epoch's pull from the mempool: batch
-	// transactions handed to the dispatcher, remaining pool depth,
-	// how many of the remaining are parked behind nonce gaps, and the
-	// drain duration.
-	MempoolDrained(epoch uint64, batch, remaining, parked int, took time.Duration)
-	// TransitionCompiled reports the deploy-time compilation outcome of
-	// one transition: whether it lowered to the closure-chain executor
-	// (compiled=false means it will run on the interpreter fallback)
-	// and whether the compiled form engaged the fused Option fast path.
-	TransitionCompiled(epoch uint64, contract, transition string, compiled, fastPath bool)
-	// FrameSent reports one encoded frame leaving a node over a
-	// transport link. msg is the wire message type label and bytes the
-	// full frame size. Transport events carry node names, not epochs —
-	// links outlive epochs and the transport layer does not parse
-	// payloads.
-	FrameSent(from, to, msg string, bytes int)
-	// FrameDropped reports a frame discarded in flight by the
-	// fault-injecting link layer; the receiver never sees it.
-	FrameDropped(from, to, msg string, bytes int)
-	// FrameCorrupted reports a frame whose payload bytes were flipped in
-	// flight; the receiver sees the damaged frame and its decoder is
-	// expected to reject it.
-	FrameCorrupted(from, to, msg string, bytes int)
-	// EpochFinalized is the last event of an epoch and carries the full
-	// per-stage summary.
-	EpochFinalized(s EpochSummary)
+	Record(e Event)
 }
 
-// Nop is the default Recorder: every method is an empty body, so the
-// instrumented hot path stays allocation-free when tracing is off.
+// Nop is the default Recorder. Its empty Record keeps the instrumented
+// hot path allocation-free when tracing is off.
 type Nop struct{}
 
-// TxDispatched implements Recorder.
-func (Nop) TxDispatched(epoch, tx uint64, shard int, reason string) {}
-
-// ShardExecStart implements Recorder.
-func (Nop) ShardExecStart(epoch uint64, shard, queued int) {}
-
-// ShardExecEnd implements Recorder.
-func (Nop) ShardExecEnd(epoch uint64, shard int, took time.Duration) {}
-
-// MicroBlockSealed implements Recorder.
-func (Nop) MicroBlockSealed(epoch uint64, shard, receipts, deltas, deferred int, gasUsed uint64) {}
-
-// ShardGroupsFormed implements Recorder.
-func (Nop) ShardGroupsFormed(epoch uint64, shard, groups, largest, residue int) {}
-
-// GroupFoldDone implements Recorder.
-func (Nop) GroupFoldDone(epoch uint64, shard, contracts int, took time.Duration) {}
-
-// DeltaMerged implements Recorder.
-func (Nop) DeltaMerged(epoch uint64, contracts, deltas, entries, conflicts int, took time.Duration) {
-}
-
-// TxRequeued implements Recorder.
-func (Nop) TxRequeued(epoch uint64, shard, count int) {}
-
-// ShardFault implements Recorder.
-func (Nop) ShardFault(epoch uint64, shard int, kind string, lost int) {}
-
-// ViewChange implements Recorder.
-func (Nop) ViewChange(epoch uint64, shard int, took time.Duration) {}
-
-// ShardEscalated implements Recorder.
-func (Nop) ShardEscalated(epoch uint64, shard, txs int) {}
-
-// OverflowGuardTripped implements Recorder.
-func (Nop) OverflowGuardTripped(epoch uint64, shard int, tx uint64) {}
-
-// TxAdmitted implements Recorder.
-func (Nop) TxAdmitted(epoch, tx uint64, parked, replaced bool) {}
-
-// TxPoolRejected implements Recorder.
-func (Nop) TxPoolRejected(epoch, tx uint64, reason string) {}
-
-// TxEvicted implements Recorder.
-func (Nop) TxEvicted(epoch, tx uint64, reason string) {}
-
-// MempoolDrained implements Recorder.
-func (Nop) MempoolDrained(epoch uint64, batch, remaining, parked int, took time.Duration) {}
-
-// TransitionCompiled implements Recorder.
-func (Nop) TransitionCompiled(epoch uint64, contract, transition string, compiled, fastPath bool) {}
-
-// FrameSent implements Recorder.
-func (Nop) FrameSent(from, to, msg string, bytes int) {}
-
-// FrameDropped implements Recorder.
-func (Nop) FrameDropped(from, to, msg string, bytes int) {}
-
-// FrameCorrupted implements Recorder.
-func (Nop) FrameCorrupted(from, to, msg string, bytes int) {}
-
-// EpochFinalized implements Recorder.
-func (Nop) EpochFinalized(s EpochSummary) {}
+// Record implements Recorder.
+func (Nop) Record(Event) {}
 
 // multi fans every event out to several recorders in order.
 type multi []Recorder
 
-// Multi combines recorders: Nop members are dropped, zero remaining
-// recorders collapse to Nop, and a single recorder is returned as-is.
+// Multi combines recorders: Nop and nil members are dropped, zero
+// remaining recorders collapse to Nop, and a single recorder is
+// returned as-is.
 func Multi(recs ...Recorder) Recorder {
-	kept := make(multi, 0, len(recs))
+	var kept multi
 	for _, r := range recs {
-		if r == nil {
-			continue
+		if _, isNop := r.(Nop); r != nil && !isNop {
+			kept = append(kept, r)
 		}
-		if _, isNop := r.(Nop); isNop {
-			continue
-		}
-		kept = append(kept, r)
 	}
 	switch len(kept) {
 	case 0:
@@ -247,149 +144,9 @@ func Multi(recs ...Recorder) Recorder {
 	return kept
 }
 
-// TxDispatched implements Recorder.
-func (m multi) TxDispatched(epoch, tx uint64, shard int, reason string) {
+// Record implements Recorder.
+func (m multi) Record(e Event) {
 	for _, r := range m {
-		r.TxDispatched(epoch, tx, shard, reason)
-	}
-}
-
-// ShardExecStart implements Recorder.
-func (m multi) ShardExecStart(epoch uint64, shard, queued int) {
-	for _, r := range m {
-		r.ShardExecStart(epoch, shard, queued)
-	}
-}
-
-// ShardExecEnd implements Recorder.
-func (m multi) ShardExecEnd(epoch uint64, shard int, took time.Duration) {
-	for _, r := range m {
-		r.ShardExecEnd(epoch, shard, took)
-	}
-}
-
-// MicroBlockSealed implements Recorder.
-func (m multi) MicroBlockSealed(epoch uint64, shard, receipts, deltas, deferred int, gasUsed uint64) {
-	for _, r := range m {
-		r.MicroBlockSealed(epoch, shard, receipts, deltas, deferred, gasUsed)
-	}
-}
-
-// ShardGroupsFormed implements Recorder.
-func (m multi) ShardGroupsFormed(epoch uint64, shard, groups, largest, residue int) {
-	for _, r := range m {
-		r.ShardGroupsFormed(epoch, shard, groups, largest, residue)
-	}
-}
-
-// GroupFoldDone implements Recorder.
-func (m multi) GroupFoldDone(epoch uint64, shard, contracts int, took time.Duration) {
-	for _, r := range m {
-		r.GroupFoldDone(epoch, shard, contracts, took)
-	}
-}
-
-// DeltaMerged implements Recorder.
-func (m multi) DeltaMerged(epoch uint64, contracts, deltas, entries, conflicts int, took time.Duration) {
-	for _, r := range m {
-		r.DeltaMerged(epoch, contracts, deltas, entries, conflicts, took)
-	}
-}
-
-// TxRequeued implements Recorder.
-func (m multi) TxRequeued(epoch uint64, shard, count int) {
-	for _, r := range m {
-		r.TxRequeued(epoch, shard, count)
-	}
-}
-
-// ShardFault implements Recorder.
-func (m multi) ShardFault(epoch uint64, shard int, kind string, lost int) {
-	for _, r := range m {
-		r.ShardFault(epoch, shard, kind, lost)
-	}
-}
-
-// ViewChange implements Recorder.
-func (m multi) ViewChange(epoch uint64, shard int, took time.Duration) {
-	for _, r := range m {
-		r.ViewChange(epoch, shard, took)
-	}
-}
-
-// ShardEscalated implements Recorder.
-func (m multi) ShardEscalated(epoch uint64, shard, txs int) {
-	for _, r := range m {
-		r.ShardEscalated(epoch, shard, txs)
-	}
-}
-
-// OverflowGuardTripped implements Recorder.
-func (m multi) OverflowGuardTripped(epoch uint64, shard int, tx uint64) {
-	for _, r := range m {
-		r.OverflowGuardTripped(epoch, shard, tx)
-	}
-}
-
-// TxAdmitted implements Recorder.
-func (m multi) TxAdmitted(epoch, tx uint64, parked, replaced bool) {
-	for _, r := range m {
-		r.TxAdmitted(epoch, tx, parked, replaced)
-	}
-}
-
-// TxPoolRejected implements Recorder.
-func (m multi) TxPoolRejected(epoch, tx uint64, reason string) {
-	for _, r := range m {
-		r.TxPoolRejected(epoch, tx, reason)
-	}
-}
-
-// TxEvicted implements Recorder.
-func (m multi) TxEvicted(epoch, tx uint64, reason string) {
-	for _, r := range m {
-		r.TxEvicted(epoch, tx, reason)
-	}
-}
-
-// MempoolDrained implements Recorder.
-func (m multi) MempoolDrained(epoch uint64, batch, remaining, parked int, took time.Duration) {
-	for _, r := range m {
-		r.MempoolDrained(epoch, batch, remaining, parked, took)
-	}
-}
-
-// TransitionCompiled implements Recorder.
-func (m multi) TransitionCompiled(epoch uint64, contract, transition string, compiled, fastPath bool) {
-	for _, r := range m {
-		r.TransitionCompiled(epoch, contract, transition, compiled, fastPath)
-	}
-}
-
-// FrameSent implements Recorder.
-func (m multi) FrameSent(from, to, msg string, bytes int) {
-	for _, r := range m {
-		r.FrameSent(from, to, msg, bytes)
-	}
-}
-
-// FrameDropped implements Recorder.
-func (m multi) FrameDropped(from, to, msg string, bytes int) {
-	for _, r := range m {
-		r.FrameDropped(from, to, msg, bytes)
-	}
-}
-
-// FrameCorrupted implements Recorder.
-func (m multi) FrameCorrupted(from, to, msg string, bytes int) {
-	for _, r := range m {
-		r.FrameCorrupted(from, to, msg, bytes)
-	}
-}
-
-// EpochFinalized implements Recorder.
-func (m multi) EpochFinalized(s EpochSummary) {
-	for _, r := range m {
-		r.EpochFinalized(s)
+		r.Record(e)
 	}
 }

@@ -18,32 +18,26 @@ import (
 )
 
 // faultEvents captures the fault-recovery trace events (everything
-// else is a no-op), so tests can assert the pipeline's bookkeeping
+// else is ignored), so tests can assert the pipeline's bookkeeping
 // without parsing a journal.
 type faultEvents struct {
-	obs.Nop
 	mu          sync.Mutex
 	faults      []string
 	viewChanges []time.Duration
 	escalations []string
 }
 
-func (f *faultEvents) ShardFault(epoch uint64, s int, kind string, lost int) {
+func (f *faultEvents) Record(e obs.Event) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.faults = append(f.faults, fmt.Sprintf("e%d/s%d/%s/lost=%d", epoch, s, kind, lost))
-}
-
-func (f *faultEvents) ViewChange(epoch uint64, s int, took time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.viewChanges = append(f.viewChanges, took)
-}
-
-func (f *faultEvents) ShardEscalated(epoch uint64, s, txs int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.escalations = append(f.escalations, fmt.Sprintf("e%d/s%d/txs=%d", epoch, s, txs))
+	switch e.Kind {
+	case obs.ShardFault:
+		f.faults = append(f.faults, fmt.Sprintf("e%d/s%d/%s/lost=%d", e.Epoch, e.Shard, e.Label, e.N[0]))
+	case obs.ViewChange:
+		f.viewChanges = append(f.viewChanges, e.Took)
+	case obs.ShardEscalated:
+		f.escalations = append(f.escalations, fmt.Sprintf("e%d/s%d/txs=%d", e.Epoch, e.Shard, e.N[0]))
+	}
 }
 
 // TestFaultPlanDeterminism: under a seeded generated fault plan the

@@ -10,6 +10,7 @@ import (
 
 	"cosplit/internal/chain"
 	"cosplit/internal/dispatch"
+	"cosplit/internal/obs"
 )
 
 // Intra-shard parallel execution (Config.IntraShardWorkers): the epoch
@@ -298,7 +299,7 @@ func (n *Network) runShardGrouped(s int, queue []*chain.Tx) (*MicroBlock, error)
 	n.m.groups.Observe(int64(len(groups)))
 	n.m.groupSize.Observe(int64(largest))
 	n.m.groupResidue.Observe(int64(residue))
-	n.rec.ShardGroupsFormed(n.Epoch, s, len(groups), largest, residue)
+	n.rec.Record(obs.Event{Kind: obs.ShardGroupsFormed, Epoch: n.Epoch, Shard: s, N: [4]int{len(groups), largest, residue}})
 
 	// Execute on one shardRun per *modeled* worker. Each run owns a
 	// deterministic set of groups (assignGroups) and overlays over the
@@ -429,7 +430,7 @@ func (n *Network) runShardGrouped(s int, queue []*chain.Tx) (*MicroBlock, error)
 	}
 	fold := time.Since(foldStart)
 	n.m.foldTime.ObserveDuration(fold)
-	n.rec.GroupFoldDone(n.Epoch, s, len(addrs), fold)
+	n.rec.Record(obs.Event{Kind: obs.GroupFoldDone, Epoch: n.Epoch, Shard: s, N: [4]int{len(addrs)}, Took: fold})
 
 	// The modelled execute stage: the grouping prepass (its footprint
 	// phase already modelled as the slowest part), the slowest modelled

@@ -16,7 +16,6 @@ import (
 // epoch's batch, keyed back to (sender, nonce) so the sequence is
 // comparable across runs that assign different transaction IDs.
 type dispatchLog struct {
-	obs.Nop
 	keys    map[uint64]string
 	byEpoch map[uint64][]string
 }
@@ -25,8 +24,10 @@ func newDispatchLog() *dispatchLog {
 	return &dispatchLog{keys: make(map[uint64]string), byEpoch: make(map[uint64][]string)}
 }
 
-func (l *dispatchLog) TxDispatched(epoch, tx uint64, shard int, reason string) {
-	l.byEpoch[epoch] = append(l.byEpoch[epoch], l.keys[tx])
+func (l *dispatchLog) Record(e obs.Event) {
+	if e.Kind == obs.TxDispatched {
+		l.byEpoch[e.Epoch] = append(l.byEpoch[e.Epoch], l.keys[e.Tx])
+	}
 }
 
 // TestMempoolDuplicateNonceOneEpoch exercises both duplicate-nonce

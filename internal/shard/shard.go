@@ -240,7 +240,8 @@ func (n *Network) DeployContract(deployer chain.Address, source string,
 		for i := range c.Checked.Module.Contract.Transitions {
 			trName := c.Checked.Module.Contract.Transitions[i].Name
 			ok, fast := c.Compiled.CompiledTransition(trName)
-			n.rec.TransitionCompiled(n.Epoch, c.Checked.Module.Contract.Name, trName, ok, fast)
+			n.rec.Record(obs.Event{Kind: obs.TransitionCompiled, Epoch: n.Epoch,
+				Label: c.Checked.Module.Contract.Name, Name: trName, Flag: [2]bool{ok, fast}})
 		}
 	}
 	// Bump the deployer's nonce.
@@ -427,13 +428,13 @@ func (n *Network) BeginEpoch() *EpochRun {
 		dec := decisions[i]
 		if dec.Rejected {
 			stats.Rejected++
-			n.rec.TxDispatched(n.Epoch, tx.ID, rejectedShard, dec.Reason)
+			n.rec.Record(obs.Event{Kind: obs.TxDispatched, Epoch: n.Epoch, Tx: tx.ID, Shard: rejectedShard, Label: dec.Reason})
 			rec := &chain.Receipt{TxID: tx.ID, Success: false, Error: dec.Reason, Shard: rejectedShard, Epoch: n.Epoch}
 			n.record(rec)
 			run.rejects = append(run.rejects, rec)
 			continue
 		}
-		n.rec.TxDispatched(n.Epoch, tx.ID, dec.Shard, dec.Reason)
+		n.rec.Record(obs.Event{Kind: obs.TxDispatched, Epoch: n.Epoch, Tx: tx.ID, Shard: dec.Shard, Label: dec.Reason})
 		if run.anyDown && dec.Reason == dispatch.ReasonShardUnavailable {
 			stats.Escalated++
 		}
@@ -452,7 +453,7 @@ func (n *Network) BeginEpoch() *EpochRun {
 		for s, down := range n.downBuf {
 			if down {
 				n.m.escalations.Inc()
-				n.rec.ShardEscalated(n.Epoch, s, stats.Escalated)
+				n.rec.Record(obs.Event{Kind: obs.ShardEscalated, Epoch: n.Epoch, Shard: s, N: [4]int{stats.Escalated}})
 			}
 		}
 	}
@@ -550,7 +551,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 			lost := len(queues[s])
 			n.m.faultDrops.Inc()
 			n.m.faultLostTxs.Add(int64(lost))
-			n.rec.ShardFault(n.Epoch, s, "transport", lost)
+			n.rec.Record(obs.Event{Kind: obs.ShardFault, Epoch: n.Epoch, Shard: s, Label: "transport", N: [4]int{lost}})
 			stats.Lost += lost
 			if n.faultStreak != nil {
 				n.faultStreak[s]++
@@ -567,7 +568,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 			// process it like a healthy one (ExecuteShard already scaled the
 			// modeled execution time).
 			n.m.faultStraggles.Inc()
-			n.rec.ShardFault(n.Epoch, s, d.Kind.String(), 0)
+			n.rec.Record(obs.Event{Kind: obs.ShardFault, Epoch: n.Epoch, Shard: s, Label: d.Kind.String()})
 		case d.Kind.Lost():
 			// The DS merge never sees a valid MicroBlock from this shard
 			// (crash, drop in transit, or a StateDelta failing validation):
@@ -584,7 +585,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 				n.m.faultCorruptions.Inc()
 			}
 			n.m.faultLostTxs.Add(int64(lost))
-			n.rec.ShardFault(n.Epoch, s, d.Kind.String(), lost)
+			n.rec.Record(obs.Event{Kind: obs.ShardFault, Epoch: n.Epoch, Shard: s, Label: d.Kind.String(), N: [4]int{lost}})
 			stats.Lost += lost
 			n.faultStreak[s]++
 			faulted = append(faulted, s)
@@ -636,52 +637,33 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 		stats.ViewChanges = len(faulted)
 		for _, s := range faulted {
 			n.m.viewChanges.Inc()
-			n.rec.ViewChange(n.Epoch, s, viewChange)
+			n.rec.Record(obs.Event{Kind: obs.ViewChange, Epoch: n.Epoch, Shard: s, Took: viewChange})
 		}
 	}
 
 	// Phase 3: the DS committee merges all StateDeltas (three-way
 	// merge, Sec. 4.3) and applies the account delta. Deltas were
-	// collected in shard order and contracts are visited in address
-	// order, so the merge is byte-for-byte deterministic regardless of
-	// how phase 2 was scheduled.
+	// collected in shard order, so the merge is byte-for-byte
+	// deterministic regardless of how phase 2 was scheduled.
 	t1 := time.Now()
-	byContract := make(map[chain.Address][]*chain.StateDelta)
 	for _, d := range allDeltas {
 		stats.DeltaEntries += d.Size()
-		byContract[d.Contract] = append(byContract[d.Contract], d)
 	}
-	addrs := make([]chain.Address, 0, len(byContract))
-	for addr := range byContract {
-		addrs = append(addrs, addr)
+	contracts, err := n.mergeEpoch(allDeltas, accDelta)
+	if err != nil {
+		return nil, nil, fmt.Errorf("epoch %d: %w", n.Epoch, err)
 	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return bytes.Compare(addrs[i][:], addrs[j][:]) < 0
-	})
-	for _, addr := range addrs {
-		c := n.Contracts.Get(addr)
-		merged := c.Snapshot().Copy()
-		if err := chain.MergeDeltas(merged, byContract[addr]); err != nil {
-			n.m.mergeConflicts.Inc()
-			return nil, nil, fmt.Errorf("epoch %d: %w", n.Epoch, err)
-		}
-		c.ReplaceState(merged)
-		n.touchDeltas(addr, byContract[addr], merged)
-	}
-	if err := n.Accounts.Apply(accDelta); err != nil {
-		return nil, nil, err
-	}
-	n.touchAccountDelta(accDelta)
 	sum.Merge = time.Since(t1)
-	n.m.mergeContracts.Add(int64(len(addrs)))
+	n.m.mergeContracts.Add(int64(contracts))
 	n.m.deltaEntries.Observe(int64(stats.DeltaEntries))
 	n.m.mergeTime.ObserveDuration(sum.Merge)
-	n.rec.DeltaMerged(n.Epoch, len(addrs), len(allDeltas), stats.DeltaEntries, 0, sum.Merge)
+	n.rec.Record(obs.Event{Kind: obs.DeltaMerged, Epoch: n.Epoch,
+		N: [4]int{contracts, len(allDeltas), stats.DeltaEntries}, Took: sum.Merge})
 
 	// Phase 4: the DS committee executes the remaining potentially
 	// conflicting transactions sequentially on the merged state.
 	t2 := time.Now()
-	n.rec.ShardExecStart(n.Epoch, dispatch.DS, len(dsQueue))
+	n.rec.Record(obs.Event{Kind: obs.ShardExecStart, Epoch: n.Epoch, Shard: dispatch.DS, N: [4]int{len(dsQueue)}})
 	if fb != nil {
 		// Snapshot the DS batch before execution: dsQueue aliases a
 		// per-network scratch buffer reused next epoch, and replicas
@@ -690,7 +672,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	}
 	dsCommitted, dsFailed, dsDeferred, dsReceipts := n.runDS(dsQueue)
 	sum.DSExec = time.Since(t2)
-	n.rec.ShardExecEnd(n.Epoch, dispatch.DS, sum.DSExec)
+	n.rec.Record(obs.Event{Kind: obs.ShardExecEnd, Epoch: n.Epoch, Shard: dispatch.DS, Took: sum.DSExec})
 	stats.Committed += dsCommitted
 	stats.DSCount = dsCommitted
 	stats.Failed += dsFailed
@@ -716,7 +698,7 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 	sum.DSCommitted = dsCommitted
 	sum.DeltaEntries = stats.DeltaEntries
 	n.finishEpochMetrics(sum)
-	n.rec.EpochFinalized(sum)
+	n.rec.Record(obs.Event{Kind: obs.EpochFinalized, Epoch: sum.Epoch, Summary: sum})
 
 	if fb != nil {
 		fb.Deltas = allDeltas
@@ -739,8 +721,8 @@ func (n *Network) FinalizeEpoch(run *EpochRun, blocks []*MicroBlock) (*EpochStat
 }
 
 // ApplyFinalBlock replays a DS-committed epoch on a replica: the
-// three-way delta merge (contracts visited in address order, exactly
-// as FinalizeEpoch merges), the account delta, the shipped receipts,
+// three-way delta merge and the account delta (mergeEpoch, exactly as
+// FinalizeEpoch merges), the shipped receipts,
 // and a deterministic re-execution of the DS batch. The replica's
 // resulting state root must match the block's; a mismatch (a corrupted
 // frame that survived decoding, or replica divergence) fails with
@@ -768,34 +750,8 @@ func (n *Network) replayFinalBlock(fb *FinalBlock) error {
 	if fb.Epoch != n.Epoch {
 		return fmt.Errorf("apply final block: %w: block epoch %d, replica epoch %d", ErrEpochSkew, fb.Epoch, n.Epoch)
 	}
-	byContract := make(map[chain.Address][]*chain.StateDelta)
-	for _, d := range fb.Deltas {
-		byContract[d.Contract] = append(byContract[d.Contract], d)
-	}
-	addrs := make([]chain.Address, 0, len(byContract))
-	for addr := range byContract {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool {
-		return bytes.Compare(addrs[i][:], addrs[j][:]) < 0
-	})
-	for _, addr := range addrs {
-		c := n.Contracts.Get(addr)
-		if c == nil {
-			return fmt.Errorf("apply final block epoch %d: %w: contract %s", fb.Epoch, ErrUnknownContract, addr)
-		}
-		merged := c.Snapshot().Copy()
-		if err := chain.MergeDeltas(merged, byContract[addr]); err != nil {
-			return fmt.Errorf("apply final block epoch %d: %w", fb.Epoch, err)
-		}
-		c.ReplaceState(merged)
-		n.touchDeltas(addr, byContract[addr], merged)
-	}
-	if fb.Accounts != nil {
-		if err := n.Accounts.Apply(fb.Accounts); err != nil {
-			return fmt.Errorf("apply final block epoch %d: %w", fb.Epoch, err)
-		}
-		n.touchAccountDelta(fb.Accounts)
+	if _, err := n.mergeEpoch(fb.Deltas, fb.Accounts); err != nil {
+		return fmt.Errorf("apply final block epoch %d: %w", fb.Epoch, err)
 	}
 	for _, r := range fb.Receipts {
 		n.record(r)
@@ -814,6 +770,50 @@ func (n *Network) replayFinalBlock(fb *FinalBlock) error {
 	n.Epoch++
 	n.BlockNumber++
 	return nil
+}
+
+// mergeEpoch commits one epoch's shard output: the three-way merge of
+// deltas (Sec. 4.3), contracts visited in address order, then the
+// account delta (nil for none). The DS committee (FinalizeEpoch),
+// replicas (ApplyFinalBlock) and journal replay all commit through it,
+// so they apply a block identically. Every delta's contract is looked
+// up before anything is mutated: a delta from the wire naming an
+// unknown contract fails with ErrUnknownContract and leaves the state
+// untouched. It returns the number of contracts merged.
+func (n *Network) mergeEpoch(deltas []*chain.StateDelta, accounts *chain.AccountDelta) (int, error) {
+	byContract := make(map[chain.Address][]*chain.StateDelta)
+	for _, d := range deltas {
+		byContract[d.Contract] = append(byContract[d.Contract], d)
+	}
+	addrs := make([]chain.Address, 0, len(byContract))
+	for addr := range byContract {
+		addrs = append(addrs, addr)
+	}
+	sort.Slice(addrs, func(i, j int) bool {
+		return bytes.Compare(addrs[i][:], addrs[j][:]) < 0
+	})
+	contracts := make([]*chain.Contract, len(addrs))
+	for i, addr := range addrs {
+		if contracts[i] = n.Contracts.Get(addr); contracts[i] == nil {
+			return 0, fmt.Errorf("%w: contract %s", ErrUnknownContract, addr)
+		}
+	}
+	for i, c := range contracts {
+		merged := c.Snapshot().Copy()
+		if err := chain.MergeDeltas(merged, byContract[addrs[i]]); err != nil {
+			n.m.mergeConflicts.Inc()
+			return 0, err
+		}
+		c.ReplaceState(merged)
+		n.touchDeltas(addrs[i], byContract[addrs[i]], merged)
+	}
+	if accounts != nil {
+		if err := n.Accounts.Apply(accounts); err != nil {
+			return 0, err
+		}
+		n.touchAccountDelta(accounts)
+	}
+	return len(addrs), nil
 }
 
 // rejectedShard labels receipts and trace events for transactions the
@@ -906,7 +906,7 @@ func (n *Network) requeue(shard int, txs []*chain.Tx) {
 	if len(txs) == 0 {
 		return
 	}
-	n.rec.TxRequeued(n.Epoch, shard, len(txs))
+	n.rec.Record(obs.Event{Kind: obs.TxRequeued, Epoch: n.Epoch, Shard: shard, N: [4]int{len(txs)}})
 	if n.pool != nil {
 		n.pool.Requeue(txs)
 		return
@@ -1028,7 +1028,7 @@ func (r *shardRun) gasAllowance(sender chain.Address) *big.Int {
 // both produce bit-identical MicroBlocks when the grouped path
 // completes.
 func (n *Network) ExecuteShard(s int, queue []*chain.Tx) (*MicroBlock, error) {
-	n.rec.ShardExecStart(n.Epoch, s, len(queue))
+	n.rec.Record(obs.Event{Kind: obs.ShardExecStart, Epoch: n.Epoch, Shard: s, N: [4]int{len(queue)}})
 	n.m.queueDepth.Observe(int64(len(queue)))
 	directive := n.faults.At(n.Epoch, s)
 	if directive.Kind == fault.CrashMidEpoch {
@@ -1057,8 +1057,9 @@ func (n *Network) ExecuteShard(s int, queue []*chain.Tx) (*MicroBlock, error) {
 	}
 	n.m.shardExecTime.ObserveDuration(mb.ExecTime)
 	n.m.shardGas.Observe(int64(mb.GasUsed))
-	n.rec.ShardExecEnd(n.Epoch, s, mb.ExecTime)
-	n.rec.MicroBlockSealed(n.Epoch, s, len(mb.Receipts), len(mb.Deltas), len(mb.Deferred), mb.GasUsed)
+	n.rec.Record(obs.Event{Kind: obs.ShardExecEnd, Epoch: n.Epoch, Shard: s, Took: mb.ExecTime})
+	n.rec.Record(obs.Event{Kind: obs.MicroBlockSealed, Epoch: n.Epoch, Shard: s,
+		N: [4]int{len(mb.Receipts), len(mb.Deltas), len(mb.Deferred), int(mb.GasUsed)}})
 	return mb, nil
 }
 
@@ -1251,7 +1252,7 @@ func (r *shardRun) execute(tx *chain.Tx, remaining uint64) (_ *chain.Receipt, wa
 			// the transaction is rejected in-shard (a production system
 			// would reroute it to the DS committee).
 			r.net.m.overflowTrips.Inc()
-			r.net.rec.OverflowGuardTripped(r.net.Epoch, r.shard, tx.ID)
+			r.net.rec.Record(obs.Event{Kind: obs.OverflowGuardTripped, Epoch: r.net.Epoch, Shard: r.shard, Tx: tx.ID})
 			return fail(ErrOverflowGuard)
 		}
 		txOv.CommitTo(shardOv)

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -380,3 +381,75 @@ func TestSingleSourceTransfersSerialise(t *testing.T) {
 }
 
 var _ = ast.TyUint128
+
+// TestMergeRejectsUnknownContract: MicroBlocks and FinalBlocks arrive
+// off the wire, so a StateDelta may name a contract that does not
+// exist. The DS committee (FinalizeEpoch) and a replica
+// (ApplyFinalBlock) both fail with ErrUnknownContract before mutating
+// anything: the state root stays put even though a valid delta for
+// the real contract sorts first, and the replica still applies the
+// untampered block afterwards.
+func TestMergeRejectsUnknownContract(t *testing.T) {
+	var unknown chain.Address
+	for i := range unknown {
+		unknown[i] = 0xff // sorts after every deployed contract
+	}
+	withBogus := func(deltas []*chain.StateDelta) []*chain.StateDelta {
+		return append(append([]*chain.StateDelta(nil), deltas...), &chain.StateDelta{Contract: unknown})
+	}
+	execute := func(net *shard.Network, ft chain.Address, users []chain.Address) (*shard.EpochRun, []*shard.MicroBlock) {
+		net.Submit(transferTx(users[0], users[1], ft, 1, 10))
+		run := net.BeginEpoch()
+		run.CollectFinalBlock()
+		blocks := make([]*shard.MicroBlock, len(run.Queues()))
+		deltas := 0
+		for s, q := range run.Queues() {
+			mb, err := net.ExecuteShard(s, q)
+			if err != nil {
+				t.Fatalf("shard %d: %v", s, err)
+			}
+			blocks[s] = mb
+			deltas += len(mb.Deltas)
+		}
+		if deltas == 0 {
+			t.Fatal("epoch produced no contract delta; the ordering check is vacuous")
+		}
+		return run, blocks
+	}
+
+	ds, ft, users := deployFT(t, 2, 4, true)
+	run, blocks := execute(ds, ft, users)
+	hostile := *blocks[0]
+	hostile.Deltas = withBogus(hostile.Deltas)
+	before := ds.StateRoot()
+	_, _, err := ds.FinalizeEpoch(run, []*shard.MicroBlock{&hostile, blocks[1]})
+	if !errors.Is(err, shard.ErrUnknownContract) {
+		t.Fatalf("FinalizeEpoch = %v, want ErrUnknownContract", err)
+	}
+	if got := ds.StateRoot(); got != before {
+		t.Errorf("DS root moved on a rejected merge: %s -> %s", before, got)
+	}
+
+	committee, ft, users := deployFT(t, 2, 4, true)
+	run, blocks = execute(committee, ft, users)
+	_, fb, err := committee.FinalizeEpoch(run, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, _, _ := deployFT(t, 2, 4, true)
+	before = replica.StateRoot()
+	bad := *fb
+	bad.Deltas = withBogus(fb.Deltas)
+	if err := replica.ApplyFinalBlock(&bad); !errors.Is(err, shard.ErrUnknownContract) {
+		t.Fatalf("ApplyFinalBlock = %v, want ErrUnknownContract", err)
+	}
+	if got := replica.StateRoot(); got != before {
+		t.Errorf("replica root moved on a rejected block: %s -> %s", before, got)
+	}
+	if err := replica.ApplyFinalBlock(fb); err != nil {
+		t.Fatalf("untampered block after a rejected one: %v", err)
+	}
+	if replica.StateRoot() != committee.StateRoot() {
+		t.Error("replica diverged from the committee")
+	}
+}

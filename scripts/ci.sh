@@ -18,6 +18,10 @@ fi
 go build ./...
 go vet ./...
 go test ./...
+# perfbench/ is a module of its own (replace cosplit => ../), so the
+# root build and test above never compile it; vet and test it here so
+# an internal API change cannot break the benchmark unnoticed.
+(cd perfbench && go vet ./... && go test ./...)
 # The race run covers the golden-trace tests (journal writes from the
 # shard pipeline) and the cross-mode determinism suite (sequential vs
 # parallel-shards vs intra-parallel vs both) alongside the concurrent
@@ -123,21 +127,22 @@ SINGLE_ROOT=$(/tmp/cosplit-shardsim -chain-info http://127.0.0.1:18545 | sed 's/
 kill $SERVE_PID
 
 # Multi-process chaos smoke: every cluster actor as its own OS process
-# over the TCP hub — hub, DS committee, three shard replicas with
-# per-role state directories, and two lookups each serving JSON-RPC —
-# hammered round-robin across both lookups. Mid-run one shard replica
-# is SIGKILLed and restarted: it must recover from its own directory,
-# re-register with the hub, and resync the missed FinalBlocks over the
-# wire (MsgBlockRequest), so the hammer still commits all 300 and
-# every role — both lookups and, after SIGTERM, the committee and all
-# three replicas — reports the single-process run's exact root.
+# over the TCP hub — hub, DS committee (tracing to a JSONL journal),
+# three shard replicas with per-role state directories, and two
+# lookups each serving JSON-RPC — hammered round-robin across both
+# lookups. Mid-run one shard replica is SIGKILLed and restarted: it
+# must recover from its own directory, re-register with the hub, and
+# resync the missed FinalBlocks over the wire (MsgBlockRequest), so
+# the hammer still commits all 300 and every role — both lookups and,
+# after SIGTERM, the committee and all three replicas — reports the
+# single-process run's exact root.
 NODE_DIR=$(mktemp -d)
 HUB=127.0.0.1:19100
 LK0=127.0.0.1:19101
 LK1=127.0.0.1:19102
 /tmp/cosplit-shardsim -node hub -hub $HUB >"$NODE_DIR/hub.out" 2>&1 &
 HUB_PID=$!
-/tmp/cosplit-shardsim -node ds -hub $HUB -state-dir "$NODE_DIR" -block-interval 50ms >"$NODE_DIR/ds.out" 2>&1 &
+/tmp/cosplit-shardsim -node ds -hub $HUB -state-dir "$NODE_DIR" -block-interval 50ms -trace-out "$NODE_DIR/ds.jsonl" >"$NODE_DIR/ds.out" 2>&1 &
 DS_PID=$!
 /tmp/cosplit-shardsim -node shard:0 -hub $HUB -state-dir "$NODE_DIR" >"$NODE_DIR/shard0.out" 2>&1 &
 S0_PID=$!
@@ -174,6 +179,9 @@ wait $DS_PID $S0_PID $S1_PID $S2_PID $L0_PID $L1_PID || true
 for role in ds shard0 shard1 shard2; do
     [ "$(grep '^node: final' "$NODE_DIR/$role.out" | tail -1 | sed 's/.*root=//')" = "$SINGLE_ROOT" ]
 done
+# The committee process wrote its -trace-out journal on SIGTERM: node
+# mode threads the shared recorder into the role's network.
+grep -q '"event":"epoch_finalized"' "$NODE_DIR/ds.jsonl"
 kill $HUB_PID
 wait $HUB_PID || true
 rm -rf "$NODE_DIR"
